@@ -42,14 +42,10 @@ func (n *Node) SinkPut(key wmm.Key, v dataflow.Value, consumers int) error {
 	return n.dp.Land(context.Background(), transport.Pacing{}, wmm.PutReq{Key: key, Val: v, Consumers: consumers})
 }
 
-// SinkGet consumes one datum from the node's sink.
-func (n *Node) SinkGet(key wmm.Key) (dataflow.Value, bool, error) {
-	return n.dp.Get(context.Background(), key)
-}
-
-// SinkPeek reads one datum without consuming it.
-func (n *Node) SinkPeek(key wmm.Key) (dataflow.Value, bool, error) {
-	return n.dp.Peek(context.Background(), key)
+// SinkConsume reads one instance's inputs from the node's sink in one
+// batched exchange and returns how many consuming keys were found.
+func (n *Node) SinkConsume(reqs []transport.ConsumeReq) (int, error) {
+	return n.dp.Consume(context.Background(), reqs)
 }
 
 // SinkRelease drops every sink entry of the request (teardown).

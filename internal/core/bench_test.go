@@ -35,12 +35,6 @@ func newBenchSystem(b testing.TB) *System {
 	return newBenchSystemQoS(b, nil)
 }
 
-// newBenchSystemBatched is newBenchSystem with the batched DLU daemon on.
-func newBenchSystemBatched(b testing.TB) *System {
-	sys := newBenchSystemQoS(b, nil, func(cfg *Config) { cfg.BatchDLU = true })
-	return sys
-}
-
 // newBenchSystemQoS is newBenchSystem with an optional QoS plane and
 // optional further Config mutations.
 func newBenchSystemQoS(b testing.TB, qcfg *qos.Config, cfgMut ...func(*Config)) *System {
@@ -155,8 +149,8 @@ func runInvokeThroughput(b *testing.B, sys *System, g int) {
 //
 // goroutines=G varies client concurrency at whatever GOMAXPROCS the run
 // was launched with (the gated configuration). cores=N is the scaling
-// curve: the engine is rebuilt under GOMAXPROCS=N with the batched DLU
-// daemon on and driven by 8*N closed-loop clients, so the N∈{1,2,4,8}
+// curve: the engine is rebuilt under GOMAXPROCS=N and driven by 8*N
+// closed-loop clients, so the N∈{1,2,4,8}
 // series shows how throughput scales with cores. On a 1-core runner the
 // curve is flat by construction — the committed BENCH_PR8.json records
 // the curve measured on the CI box; see README for multi-core numbers.
@@ -174,7 +168,7 @@ func BenchmarkInvokeThroughput(b *testing.B) {
 			// width is sized off it.
 			prev := runtime.GOMAXPROCS(n)
 			defer runtime.GOMAXPROCS(prev)
-			sys := newBenchSystemBatched(b)
+			sys := newBenchSystem(b)
 			defer sys.Shutdown()
 			runInvokeThroughput(b, sys, 8*n)
 		})

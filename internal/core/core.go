@@ -87,21 +87,10 @@ type Config struct {
 	TransferLatency time.Duration
 	// ChunkSize overrides the streaming pipe chunk size.
 	ChunkSize int
-	// BatchDLU coalesces DLU shipments: the daemon drains whatever is
-	// already queued into one batch, groups the items per (invocation,
-	// destination-replica) edge and pays one pipe charge, one sink
-	// multi-put and one accounting pass per group — with a flush-on-idle
-	// rule (only queued tasks are drained, never awaited) so a lone request
-	// ships immediately. Off — the default — the daemon is byte-for-byte
-	// the per-item one. Only the legacy full event log (Config.Trace) keeps
-	// the per-item path when set, so its event streams never change shape;
-	// the obs metrics and sampled spans (Config.Obs) coexist with batching
-	// — a sampled request's trace context rides the batch headers.
-	BatchDLU bool
-	// DLUBatchTasks caps how many queued tasks one batch drains
-	// (DefaultDLUBatchTasks when 0).
-	DLUBatchTasks int
-	// Trace receives execution events when non-nil.
+	// Trace receives execution events when non-nil: the legacy full event
+	// log. The DLU daemon ships in batches either way; with Trace set it
+	// also appends the per-item data-sent/data-arrived records, so the
+	// event stream keeps its per-item shape.
 	Trace *trace.Log
 	// Obs configures sampled request tracing (obs.go). The zero value
 	// disables sampling; the metric instruments are always on regardless.
@@ -697,7 +686,7 @@ type Invocation struct {
 	// beats a map (no per-request map allocation, no hashing).
 	arrived []arrivedBucket
 
-	// readyScratch is the reusable newly-ready buffer for deliver (always
+	// readyScratch is the reusable newly-ready buffer for deliverBatch (always
 	// accessed under mu).
 	readyScratch []dataflow.InstanceKey
 
@@ -834,18 +823,22 @@ func (inv *Invocation) finishLocked() {
 		// (Retaining sinks skip this shortcut entirely: retained entries
 		// outlive their consuming Gets by design, so only the sweep below
 		// reclaims them.)
+		var ctx *Context // consume scratch, only when broadcasts exist
 		for i := range inv.arrived {
 			b := &inv.arrived[i]
 			if b.key.Idx != dataflow.BroadcastIdx {
 				continue
 			}
-			for _, ai := range b.items {
-				// ai.node is the node the item landed on (the request's
-				// pinned replica for that function).
-				if _, ok, err := ai.node.SinkGet(ai.key); err == nil && ok {
-					inv.sinkResidue.Add(-1)
-				}
+			if ctx == nil {
+				ctx = ctxPool.Get().(*Context)
 			}
+			// ai.node is the node each item landed on (the request's
+			// pinned replica for that function).
+			ctx.queueConsume(b.items, false)
+		}
+		if ctx != nil {
+			ctx.flushConsume(inv)
+			releaseCtx(ctx)
 		}
 		if inv.sinkResidue.Load() == 0 {
 			return
@@ -859,10 +852,24 @@ func (inv *Invocation) finishLocked() {
 	}
 	// Elastic mode: every sink Put of this request happened on a pinned
 	// node (land routes through routeFor before touching a sink), so the
-	// sweep covers exactly the request's pins instead of the whole fleet.
+	// sweep covers exactly the request's pinned nodes instead of the whole
+	// fleet — each once, however many of the request's functions it hosts.
 	for i := range inv.route {
-		inv.route[i].node.SinkRelease(inv.ReqID) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
+		if !inv.pinnedBefore(i) {
+			inv.route[i].node.SinkRelease(inv.ReqID) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
+		}
 	}
+}
+
+// pinnedBefore reports whether a pin earlier than route[i] names the same
+// node. Caller holds inv.mu.
+func (inv *Invocation) pinnedBefore(i int) bool {
+	for j := 0; j < i; j++ {
+		if inv.route[j].node == inv.route[i].node {
+			return true
+		}
+	}
+	return false
 }
 
 // tracked reports whether a request is still in the invocation table. A
@@ -1095,31 +1102,19 @@ func (s *System) runInstance(inv *Invocation, key dataflow.InstanceKey) {
 	defer node.Release(ctr)
 
 	// Consume the instance's data from the Wait-Match Memory so proactive
-	// release can reclaim it. Broadcast data is peeked, not consumed: it is
-	// shared by all instances and dropped at request completion. Each
-	// arrived item carries the node it landed on (the request's pin for
-	// this function — node, in every normal flow). The sink calls nest
-	// under inv.mu (shard mutexes are leaf locks, the same order teardown
-	// uses), which spares a defensive copy of the arrived lists.
+	// release can reclaim it: one batched Consume per node holding it — in
+	// every normal flow one, the request's pin for this function. Broadcast
+	// data is peeked, not consumed: it is shared by all instances and
+	// dropped at request completion. The sink calls nest under inv.mu
+	// (shard mutexes are leaf locks, the same order teardown uses), which
+	// spares a defensive copy of the arrived lists.
 	ctx := ctxPool.Get().(*Context)
 	defer releaseCtx(ctx)
 	inv.mu.Lock()
 	inputs, valBuf := inv.tracker.InputsAppendBacking(ctx.inputs[:0], ctx.valBuf[:0], key)
-	own := inv.arrivedFor(key)
-	shared := inv.arrivedFor(dataflow.InstanceKey{Fn: fn, Idx: dataflow.BroadcastIdx})
-	if len(own)+len(shared) > 0 {
-		for _, ai := range own {
-			// The consuming Get is accounting (proactive release): the input
-			// values themselves come from the tracker, so an unreachable
-			// remote sink costs residue, not correctness.
-			if _, ok, err := ai.node.SinkGet(ai.key); err == nil && ok {
-				inv.sinkResidue.Add(-1)
-			}
-		}
-		for _, ai := range shared {
-			ai.node.SinkPeek(ai.key) //nolint:errcheck // freshness touch only; broadcast data is read from the tracker
-		}
-	}
+	ctx.queueConsume(inv.arrivedFor(key), false)
+	ctx.queueConsume(inv.arrivedFor(dataflow.InstanceKey{Fn: fn, Idx: dataflow.BroadcastIdx}), true)
+	ctx.flushConsume(inv)
 	if s.ft {
 		// The instance now holds its inputs: a later death of the node they
 		// were cached on no longer needs them replayed (broadcast buckets
@@ -1135,6 +1130,8 @@ func (s *System) runInstance(inv *Invocation, key dataflow.InstanceKey) {
 		Instance: key,
 		inputs:   inputs,
 		valBuf:   valBuf,
+		cons:     ctx.cons,
+		consReqs: ctx.consReqs,
 		sys:      s,
 		inv:      inv,
 		ctr:      ctr,

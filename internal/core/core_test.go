@@ -32,15 +32,19 @@ function merge
 // newWCSystem builds a wordcount system over n nodes with fast containers.
 func newWCSystem(t testing.TB, nodes int, cfgMut func(*Config)) (*System, *trace.Log) {
 	t.Helper()
+	return newWCSystemOpts(t, nodes, cluster.Options{ColdStart: time.Millisecond}, cfgMut)
+}
+
+// newWCSystemOpts is newWCSystem with explicit node options.
+func newWCSystemOpts(t testing.TB, nodes int, opts cluster.Options, cfgMut func(*Config)) (*System, *trace.Log) {
+	t.Helper()
 	wf, err := workflow.ParseDSLString(wcDSL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl := cluster.NewCluster(nil)
 	for i := 0; i < nodes; i++ {
-		if err := cl.AddNode(cluster.NewNode(fmt.Sprintf("w%d", i+1), cluster.Options{
-			ColdStart: time.Millisecond,
-		})); err != nil {
+		if err := cl.AddNode(cluster.NewNode(fmt.Sprintf("w%d", i+1), opts)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,8 +67,16 @@ func newWCSystem(t testing.TB, nodes int, cfgMut func(*Config)) (*System, *trace
 	return sys, log
 }
 
-// registerWC installs real word-count handlers.
+// registerWC installs real word-count handlers splitting the text into 3
+// shards.
 func registerWC(t testing.TB, sys *System) {
+	t.Helper()
+	registerWCFanout(t, sys, 3)
+}
+
+// registerWCFanout installs real word-count handlers splitting the text
+// into fanout shards.
+func registerWCFanout(t testing.TB, sys *System, fanout int) {
 	t.Helper()
 	must := func(err error) {
 		t.Helper()
@@ -77,11 +89,10 @@ func registerWC(t testing.TB, sys *System) {
 		if err != nil {
 			return err
 		}
-		// Split the text into 3 shards.
 		words := strings.Fields(string(src))
-		shards := make([][]byte, 3)
+		shards := make([][]byte, fanout)
 		for i := range shards {
-			lo, hi := i*len(words)/3, (i+1)*len(words)/3
+			lo, hi := i*len(words)/fanout, (i+1)*len(words)/fanout
 			shards[i] = []byte(strings.Join(words[lo:hi], " "))
 		}
 		return ctx.PutForeach("filelist", shards)

@@ -27,8 +27,13 @@ type Context struct {
 	// order; functions declare a handful of inputs, so a linear scan beats
 	// building a map per instance run. valBuf is the shared backing of the
 	// input values; both are recycled with the Context through ctxPool.
-	inputs  []dataflow.InputVals
-	valBuf  []dataflow.Value
+	inputs []dataflow.InputVals
+	valBuf []dataflow.Value
+	// cons and consReqs are the consume scratch (queueConsume,
+	// flushConsume), recycled with the Context like the input buffers.
+	cons     []consumeItem
+	consReqs []transport.ConsumeReq
+
 	sys     *System
 	inv     *Invocation
 	ctr     *cluster.Container
@@ -49,8 +54,51 @@ func releaseCtx(ctx *Context) {
 	inputs, valBuf := ctx.inputs, ctx.valBuf
 	clear(inputs)
 	clear(valBuf)
-	*ctx = Context{inputs: inputs[:0], valBuf: valBuf[:0]}
+	*ctx = Context{inputs: inputs[:0], valBuf: valBuf[:0], cons: ctx.cons[:0], consReqs: ctx.consReqs[:0]}
 	ctxPool.Put(ctx)
+}
+
+// consumeItem is one arrived key queued for a batched Consume, paired with
+// the node whose sink holds it.
+type consumeItem struct {
+	node *cluster.Node
+	req  transport.ConsumeReq
+}
+
+// queueConsume queues arrived items for the next flushConsume; peek marks
+// broadcast data, read without being consumed.
+func (c *Context) queueConsume(items []arrivedItem, peek bool) {
+	for _, ai := range items {
+		c.cons = append(c.cons, consumeItem{node: ai.node, req: transport.ConsumeReq{Key: ai.key, Peek: peek}})
+	}
+}
+
+// flushConsume sends the queued keys as one batched Consume per node
+// holding them and retires the consumed keys found from the request's sink
+// residue. The read is accounting (proactive release): input values come
+// from the tracker, so an unreachable remote sink costs residue, not
+// correctness. Caller holds inv.mu.
+func (c *Context) flushConsume(inv *Invocation) {
+	for i := range c.cons {
+		node := c.cons[i].node
+		if node == nil {
+			continue // sent with an earlier node's batch
+		}
+		c.consReqs = c.consReqs[:0]
+		for j := i; j < len(c.cons); j++ {
+			if c.cons[j].node == node {
+				c.consReqs = append(c.consReqs, c.cons[j].req)
+				c.cons[j].node = nil
+			}
+		}
+		if hits, err := node.SinkConsume(c.consReqs); err == nil {
+			inv.sinkResidue.Add(-int64(hits))
+		}
+	}
+	clear(c.cons) // drop key references
+	c.cons = c.cons[:0]
+	clear(c.consReqs)
+	c.consReqs = c.consReqs[:0]
 }
 
 // inputVals returns the values of the named input and whether it exists.
@@ -235,12 +283,6 @@ func (s *System) dluEnqueue(ctr *cluster.Container, task cluster.DLUTask) {
 	}
 }
 
-// DefaultDLUBatchTasks caps how many queued tasks one DLU batch drains.
-//
-// Deprecated: the cap moved to the transport layer with the Transport
-// interface; use transport.DefaultBatchTasks.
-const DefaultDLUBatchTasks = transport.DefaultBatchTasks
-
 // remoteBpsFloor returns the lowest observed wire throughput among the
 // remote nodes this Put's items are destined for (0 when none is measured
 // yet). Called only when the cluster has remote nodes, off the bench-gated
@@ -275,22 +317,6 @@ func (s *System) remoteBpsFloor(inv *Invocation, items []dataflow.Item) float64 
 		}
 	}
 	return floor
-}
-
-// dluDaemon pumps routed items through pipe connectors in FIFO order.
-func (s *System) dluDaemon(ctr *cluster.Container, queue <-chan cluster.DLUTask) {
-	if s.cfg.BatchDLU && s.cfg.Trace == nil {
-		s.dluDaemonBatched(ctr, queue)
-		return
-	}
-	for task := range queue {
-		inv := task.Ref.(*Invocation)
-		for _, it := range task.Items {
-			s.ship(ctr, inv, it)
-			ctr.AddDLUPending(-it.Value.Size)
-		}
-		recycleItems(task)
-	}
 }
 
 // dluGroup is one (invocation, destination-replica) shipment edge of a
@@ -330,16 +356,14 @@ func (b *dluBatch) addToGroup(inv *Invocation, node *cluster.Node, it dataflow.I
 	b.groups = append(b.groups, dluGroup{inv: inv, node: node, items: []dataflow.Item{it}})
 }
 
-// dluDaemonBatched is the coalescing DLU daemon (Config.BatchDLU): it
-// drains whatever the queue already holds into one batch and ships per
-// shipment edge. The drain never waits — a batch is whatever accumulated
-// while the previous one shipped — so an idle system flushes every task
-// immediately and a lone request pays no batching latency.
-func (s *System) dluDaemonBatched(ctr *cluster.Container, queue <-chan cluster.DLUTask) {
-	maxTasks := s.cfg.DLUBatchTasks
-	if maxTasks <= 0 {
-		maxTasks = DefaultDLUBatchTasks
-	}
+// dluDaemon is a container's DLU daemon: it drains whatever the queue
+// already holds (up to transport.DefaultBatchTasks tasks) into one batch
+// and ships it per shipment edge — one sink multi-put, and on a remote
+// destination one wire frame, per edge. The drain never waits — a batch is
+// whatever accumulated while the previous one shipped — so an idle system
+// flushes every task immediately, shallow queues degenerate to per-task
+// shipping, and a lone request pays no batching latency.
+func (s *System) dluDaemon(ctr *cluster.Container, queue <-chan cluster.DLUTask) {
 	var b dluBatch
 	for {
 		task, ok := <-queue
@@ -348,7 +372,7 @@ func (s *System) dluDaemonBatched(ctr *cluster.Container, queue <-chan cluster.D
 		}
 		b.tasks = append(b.tasks[:0], task)
 	drain:
-		for len(b.tasks) < maxTasks {
+		for len(b.tasks) < transport.DefaultBatchTasks {
 			select {
 			case task, more := <-queue:
 				if !more {
@@ -419,31 +443,39 @@ func (s *System) shipBatch(ctr *cluster.Container, b *dluBatch) {
 // transport.ErrFrameTooLarge rather than silently splitting).
 func (s *System) shipGroup(ctr *cluster.Container, g *dluGroup, b *dluBatch) {
 	if g.node == nil {
+		s.traceSent(g.inv, g.items)
 		s.deliverBatch(g.inv, g.items, nil, nil)
 		return
 	}
-	s.spanEvent(g.inv, trace.DataSent, g.items[0].To.Fn, len(g.items))
-	if g.node == ctr.Node {
-		s.landBatch(g.inv, g.items, g.node, b, transport.Pacing{})
-		return
-	}
-	remote := g.node.Remote()
-	small := remote || s.injector.Load() == nil
+	cross := g.node != ctr.Node
 	var total int64
-	if small {
-		for i := range g.items {
-			size := g.items[i].Value.Size
-			if !remote && size > pipe.SmallDataThreshold {
-				small = false
-				break
+	if cross {
+		remote := g.node.Remote()
+		small := remote || s.injector.Load() == nil
+		if small {
+			for i := range g.items {
+				size := g.items[i].Value.Size
+				if !remote && size > pipe.SmallDataThreshold {
+					small = false
+					break
+				}
+				total += size
 			}
-			total += size
+		}
+		if !small {
+			for _, it := range g.items {
+				s.ship(ctr, g.inv, it, g.node)
+			}
+			return
 		}
 	}
-	if !small {
-		for _, it := range g.items {
-			s.ship(ctr, g.inv, it)
-		}
+	s.traceSent(g.inv, g.items)
+	// The edge's data-sent stage names its (first) producing instance, as
+	// the per-item stage does; data-arrived names the consumer function and
+	// the item count.
+	s.spanEvent(g.inv, trace.DataSent, g.items[0].From.Fn, g.items[0].From.Idx)
+	if !cross {
+		s.landBatch(g.inv, g.items, g.node, b, transport.Pacing{})
 		return
 	}
 	if s.cfg.TransferLatency > 0 {
@@ -455,6 +487,28 @@ func (s *System) shipGroup(ctr *cluster.Container, g *dluGroup, b *dluBatch) {
 		Bytes:   total,
 		TraceID: g.inv.span.ID(),
 	})
+}
+
+// traceSent appends the full event log's (Config.Trace) per-item
+// data-sent records of one shipment edge.
+func (s *System) traceSent(inv *Invocation, items []dataflow.Item) {
+	if s.cfg.Trace != nil {
+		for _, it := range items {
+			s.traceEvent(trace.DataSent, inv.ReqID, it.From.Fn, it.From.Idx,
+				fmt.Sprintf("%s->%s %dB", it.Output, it.To, it.Value.Size))
+		}
+	}
+}
+
+// traceArrived appends the full event log's (Config.Trace) per-item
+// data-arrived records of one landed edge.
+func (s *System) traceArrived(inv *Invocation, items []dataflow.Item) {
+	if s.cfg.Trace != nil {
+		for _, it := range items {
+			s.traceEvent(trace.DataArrived, inv.ReqID, it.To.Fn, it.To.Idx,
+				fmt.Sprintf("%s %dB", it.Input, it.Value.Size))
+		}
+	}
 }
 
 // landBatch caches one edge's items in the destination sink with a single
@@ -498,15 +552,17 @@ func (s *System) landBatch(inv *Invocation, items []dataflow.Item, node *cluster
 		// outlive it.
 		node.SinkRelease(inv.ReqID) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
 	}
+	s.traceArrived(inv, items)
 	s.spanEvent(inv, trace.DataArrived, items[0].To.Fn, len(items))
 	s.deliverBatch(inv, items, b.reqs, node)
 	clear(b.reqs) // drop payload references
 	b.reqs = b.reqs[:0]
 }
 
-// deliverBatch advances the tracker with every item of one edge under a
-// single inv.mu hold. reqs carries the sink keys the items were cached
-// under, index-aligned with items (nil for user-destined edges).
+// deliverBatch advances the tracker with every item of one landed edge (or
+// one per-item land) under a single inv.mu hold, and schedules the
+// instances that became ready. reqs carries the sink keys the items were
+// cached under, index-aligned with items (nil for user-destined edges).
 func (s *System) deliverBatch(inv *Invocation, items []dataflow.Item, reqs []wmm.PutReq, node *cluster.Node) {
 	inv.mu.Lock()
 	for i := range items {
@@ -522,6 +578,8 @@ func (s *System) deliverBatch(inv *Invocation, items []dataflow.Item, reqs []wmm
 			return
 		}
 		for _, k := range newly {
+			s.traceEvent(trace.InstanceTriggered, inv.ReqID, k.Fn, k.Idx, "")
+			s.spanEvent(inv, trace.InstanceTriggered, k.Fn, k.Idx)
 			s.submitInstance(inv, k)
 		}
 	}
@@ -575,47 +633,22 @@ func writeInstanceKey(b *strings.Builder, key dataflow.InstanceKey) {
 	b.WriteByte(']')
 }
 
-// ship moves one item to its destination: straight to the user, through the
-// local pipe when src and dst share a node, or across nodes — the socket
-// fast path for small payloads and every remote destination (one latency
-// charge, one paced land), the streaming pipe for streaming-sized local
-// payloads (chunked, checkpointed, injectable). On arrival the destination
-// sink caches the payload and the tracker is advanced, possibly triggering
-// instances.
-func (s *System) ship(ctr *cluster.Container, inv *Invocation, it dataflow.Item) {
-	if s.cfg.Trace != nil {
-		s.traceEvent(trace.DataSent, inv.ReqID, it.From.Fn, it.From.Idx,
-			fmt.Sprintf("%s->%s %dB", it.Output, it.To, it.Value.Size))
-	}
+// ship moves one item of a local cross-node edge that cannot take the
+// batched socket path — the edge holds a streaming-sized payload, or a
+// failure injector is installed. A small payload without an injector takes
+// the socket fast path (one latency charge, one paced land); the rest go
+// through the streaming pipe (chunked, checkpointed, injectable). dstNode
+// is the edge's destination replica, already stamped into it.Replica. On
+// arrival the destination sink caches the payload and the tracker is
+// advanced, possibly triggering instances.
+func (s *System) ship(ctr *cluster.Container, inv *Invocation, it dataflow.Item, dstNode *cluster.Node) {
+	s.traceSent(inv, []dataflow.Item{it})
 	s.spanEvent(inv, trace.DataSent, it.From.Fn, it.From.Idx)
-	if it.To.Fn == workflow.UserSource {
-		s.deliver(inv, it, wmm.Key{}, nil)
-		return
-	}
-	// Replica selection, locality-first: when the destination function has
-	// a replica on the producer's own node the ship degenerates to the
-	// local pipe (no network); otherwise the request pins the least-loaded
-	// replica. The pin is write-once per request+function, so every item
-	// and every instance of the function agree on the node.
-	srcNode := ctr.Node
-	dstNode, ordinal := s.routeFor(inv, s.fns[it.To.Fn], srcNode)
-	it.Replica = ordinal
 	payload, _ := it.Value.Payload.([]byte)
-
-	if dstNode == srcNode {
-		// Local pipe connector: pump straight into the local data sink.
-		s.land(inv, it, dstNode, transport.Pacing{})
-		return
-	}
-	small := int64(len(payload)) <= pipe.SmallDataThreshold
 	injecting := s.injector.Load() != nil
-	if dstNode.Remote() || (small && !injecting) {
-		// Socket path: the latency charge here, the limiter charge inside the
-		// land (the transport is the wire). Remote destinations always take
-		// it — their wire is a real socket, which needs none of the simulated
-		// chunking.
+	if int64(len(payload)) <= pipe.SmallDataThreshold && !injecting {
 		if s.cfg.TransferLatency > 0 {
-			srcNode.Clock().Sleep(s.cfg.TransferLatency)
+			ctr.Node.Clock().Sleep(s.cfg.TransferLatency)
 		}
 		s.land(inv, it, dstNode, transport.Pacing{
 			Src:     ctr.Limiter,
@@ -642,7 +675,7 @@ func (s *System) ship(ctr *cluster.Container, inv *Invocation, it dataflow.Item)
 		Log:       s.checkLog,
 		FailAfter: failAfter,
 		Retries:   s.cfg.RetryLimit,
-		Clock:     srcNode.Clock(),
+		Clock:     ctr.Node.Clock(),
 	}, payload)
 	if err != nil {
 		inv.fail(fmt.Errorf("core: transfer %s failed: %w", streamID, err))
@@ -705,12 +738,9 @@ func (s *System) land(inv *Invocation, it dataflow.Item, dstNode *cluster.Node, 
 		// outlive the request.
 		dstNode.SinkRelease(inv.ReqID) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
 	}
-	if s.cfg.Trace != nil {
-		s.traceEvent(trace.DataArrived, inv.ReqID, it.To.Fn, it.To.Idx,
-			fmt.Sprintf("%s %dB", it.Input, it.Value.Size))
-	}
+	s.traceArrived(inv, []dataflow.Item{it})
 	s.spanEvent(inv, trace.DataArrived, it.To.Fn, it.To.Idx)
-	s.deliver(inv, it, key, dstNode)
+	s.deliverBatch(inv, []dataflow.Item{it}, []wmm.PutReq{{Key: key}}, dstNode)
 }
 
 // arrivedItem pairs a landed item with the sink key it was cached under and
@@ -760,35 +790,6 @@ func (inv *Invocation) recordArrived(key dataflow.InstanceKey, ai arrivedItem) {
 	inv.arrived = append(inv.arrived, arrivedBucket{key: key})
 	b := &inv.arrived[len(inv.arrived)-1]
 	b.items = append(b.inline[:0], ai)
-}
-
-// deliver advances the tracker with the item and reacts to readiness and
-// completion. key is the sink key the item was cached under and node the
-// node that cached it (zero/nil for user-destined items, which never touch
-// a sink). The whole reaction runs under inv.mu — scheduling only hands
-// jobs to the executor, and the single hold lets the newly-ready buffer be
-// reused across deliveries.
-func (s *System) deliver(inv *Invocation, it dataflow.Item, key wmm.Key, node *cluster.Node) {
-	inv.mu.Lock()
-	if it.To.Fn != workflow.UserSource {
-		inv.recordArrived(storeKeyOf(it), arrivedItem{item: it, key: key, node: node})
-	}
-	newly, err := inv.tracker.DeliverInto(inv.readyScratch[:0], it)
-	inv.readyScratch = newly
-	if err != nil {
-		inv.mu.Unlock()
-		inv.fail(err)
-		return
-	}
-	for _, k := range newly {
-		s.traceEvent(trace.InstanceTriggered, inv.ReqID, k.Fn, k.Idx, "")
-		s.spanEvent(inv, trace.InstanceTriggered, k.Fn, k.Idx)
-		s.submitInstance(inv, k)
-	}
-	if inv.tracker.Complete() {
-		inv.finishLocked()
-	}
-	inv.mu.Unlock()
 }
 
 // storeKeyOf maps an item to the arrived-map key (broadcast items collapse

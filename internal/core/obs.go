@@ -18,10 +18,9 @@ import (
 // any process that mounts obs.Handler shows the engine's sampled spans.
 
 // ObsConfig configures the engine's sampled request tracing. Unlike
-// Config.Trace (the full event log, which forces the per-item DLU path so
-// event streams keep their shape), sampling coexists with BatchDLU: a
-// sampled request records coarse stage spans and its trace context rides
-// the batched shipment headers.
+// Config.Trace (the full event log, one record per shipped item), a
+// sampled request records coarse stage spans — one per shipment edge — and
+// its trace context rides the batched shipment headers.
 type ObsConfig struct {
 	// SampleEvery records spans for one request in every SampleEvery
 	// (request numbers divisible by it). 0 disables sampling; 1 samples

@@ -34,9 +34,11 @@ type MsgType uint8
 
 // Protocol messages. Hello/HelloAck open a connection to one hosted node;
 // Put/PutBatch land data in its Wait-Match Memory (the DLU ship path,
-// replica ordinals riding in the sink keys); Get serves the consume path;
-// Release/Clear are the teardown messages; Stats/Ping read the remote
-// gauges; Register is the worker -> coordinator announcement.
+// replica ordinals riding in the sink keys); Consume/ConsumeAck serve the
+// consume path, one frame per instance; Get/Found read a single datum
+// with its payload; Release/Clear are the teardown messages; Stats/Ping
+// read the remote gauges; Register is the worker -> coordinator
+// announcement.
 const (
 	MsgHello MsgType = iota + 1
 	MsgHelloAck
@@ -53,6 +55,8 @@ const (
 	MsgAck
 	MsgErr
 	MsgRegister
+	MsgConsume
+	MsgConsumeAck
 )
 
 // String names the message type.
@@ -88,6 +92,10 @@ func (t MsgType) String() string {
 		return "err"
 	case MsgRegister:
 		return "register"
+	case MsgConsume:
+		return "consume"
+	case MsgConsumeAck:
+		return "consumeack"
 	default:
 		return fmt.Sprintf("msgtype(%d)", uint8(t))
 	}

@@ -248,6 +248,42 @@ func TestDecodePutBatchHostileCount(t *testing.T) {
 	}
 }
 
+func TestConsumeRoundTrip(t *testing.T) {
+	reqs := []ConsumeReq{
+		{Key: wmm.Key{ReqID: "req-9", Fn: "count", Data: "file@2<-start[0].filelist#r1"}},
+		{Key: wmm.Key{ReqID: "req-9", Fn: "merge", Data: "counts@-1<-count[1].result"}, Peek: true},
+		{Key: wmm.Key{}},
+	}
+	body := appendConsume(nil, reqs)
+	got, err := decodeConsume(body, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(reqs) {
+		t.Fatalf("decoded %d keys, want %d", len(got), len(reqs))
+	}
+	for i := range reqs {
+		if got[i] != reqs[i] {
+			t.Fatalf("key %d: %+v, want %+v", i, got[i], reqs[i])
+		}
+	}
+	if _, err := decodeConsume(append(body, 0xAA), nil); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("trailing garbage: err = %v, want ErrBadFrame", err)
+	}
+	for _, hits := range []uint32{0, 1, 1 << 31} {
+		if a, err := decodeConsumeAck(appendConsumeAck(nil, ConsumeAck{Hits: hits})); err != nil || a.Hits != hits {
+			t.Fatalf("ConsumeAck %d: %+v, %v", hits, a, err)
+		}
+	}
+}
+
+func TestDecodeConsumeHostileCount(t *testing.T) {
+	body := appendUvarint(nil, 1<<40) // claims a trillion keys, carries none
+	if _, err := decodeConsume(body, nil); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("err = %v, want ErrBadFrame", err)
+	}
+}
+
 // TestPutTraceContextRoundTrip pins the frame-v2 trace field: a sampled
 // put carries its id through encode/decode, an unsampled one reads back 0.
 func TestPutTraceContextRoundTrip(t *testing.T) {
@@ -299,6 +335,12 @@ func FuzzReadFrame(f *testing.F) {
 		Val: dataflow.Value{Payload: []byte("p"), Size: 1},
 	}})))
 	f.Add(AppendFrame(nil, MsgGet, appendGet(nil, Get{ReqID: "r", Fn: "f", Data: "d"})))
+	f.Add(AppendFrame(nil, MsgConsume, appendConsume(nil, []ConsumeReq{
+		{Key: wmm.Key{ReqID: "r", Fn: "f", Data: "d"}},
+		{Key: wmm.Key{ReqID: "r", Fn: "f", Data: "b"}, Peek: true},
+	})))
+	f.Add(AppendFrame(nil, MsgConsume, appendUvarint(nil, 1<<40)))
+	f.Add(AppendFrame(nil, MsgConsumeAck, appendConsumeAck(nil, ConsumeAck{Hits: 3})))
 	f.Add([]byte{0, 0, 0, 2, FrameVersion, byte(MsgClear)})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -322,6 +364,10 @@ func FuzzReadFrame(f *testing.F) {
 			decodePut(&r)
 		case MsgGet:
 			decodeGet(body) //nolint:errcheck
+		case MsgConsume:
+			decodeConsume(body, nil) //nolint:errcheck
+		case MsgConsumeAck:
+			decodeConsumeAck(body) //nolint:errcheck
 		case MsgFound:
 			decodeFound(body) //nolint:errcheck
 		case MsgRelease:

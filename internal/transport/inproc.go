@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/dataflow"
 	"repro/internal/pipe"
 	"repro/internal/wmm"
 )
@@ -55,16 +54,26 @@ func (t *Inproc) Land(_ context.Context, pace Pacing, req wmm.PutReq) error {
 	return nil
 }
 
-// Get implements Transport.
-func (t *Inproc) Get(_ context.Context, key wmm.Key) (dataflow.Value, bool, error) {
-	v, _, ok := t.sink.Get(t.elapsed(), key)
-	return v, ok, nil
+// Consume implements Transport.
+func (t *Inproc) Consume(_ context.Context, reqs []ConsumeReq) (int, error) {
+	return consumeLocal(t.sink, t.elapsed(), reqs), nil
 }
 
-// Peek implements Transport.
-func (t *Inproc) Peek(_ context.Context, key wmm.Key) (dataflow.Value, bool, error) {
-	v, _, ok := t.sink.Peek(t.elapsed(), key)
-	return v, ok, nil
+// consumeLocal applies one batched Consume to a sink at time at (the
+// in-process transport and the TCP server share it) and returns how many
+// consuming keys were found.
+func consumeLocal(sink *wmm.Sink, at time.Duration, reqs []ConsumeReq) int {
+	hits := 0
+	for i := range reqs {
+		if reqs[i].Peek {
+			sink.Peek(at, reqs[i].Key)
+			continue
+		}
+		if _, _, ok := sink.Get(at, reqs[i].Key); ok {
+			hits++
+		}
+	}
+	return hits
 }
 
 // Release implements Transport.

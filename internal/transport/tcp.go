@@ -173,6 +173,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}()
 	var rbuf, wbuf []byte
 	var reqScratch []wmm.PutReq
+	var consScratch []ConsumeReq
 	t, body, err := ReadFrame(conn, &rbuf, s.opts.MaxFrame)
 	if err != nil || t != MsgHello {
 		return
@@ -232,6 +233,14 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			clear(reqScratch) // drop payload references
 			reqScratch = reqScratch[:0]
+		case MsgConsume:
+			consScratch, fail = decodeConsume(body, consScratch[:0])
+			if fail == nil {
+				hits := consumeLocal(sink, at, consScratch)
+				respT, resp = MsgConsumeAck, appendConsumeAck(wbuf[:0], ConsumeAck{Hits: uint32(hits)})
+			}
+			clear(consScratch) // drop key references
+			consScratch = consScratch[:0]
 		case MsgGet:
 			var g Get
 			g, fail = decodeGet(body)
@@ -598,14 +607,34 @@ func (c *Client) get(key wmm.Key, consume bool, op string) (dataflow.Value, bool
 	return dataflow.Value{Payload: f.Payload, Size: int64(len(f.Payload))}, true, nil
 }
 
-// Get implements Transport.
+// Get consumes one datum and returns its payload. It is not part of
+// Transport (the engine consumes through the batched Consume); it serves
+// single-datum reads such as diagnostics and per-operation timing.
 func (c *Client) Get(_ context.Context, key wmm.Key) (dataflow.Value, bool, error) {
 	return c.get(key, true, "get")
 }
 
-// Peek implements Transport.
+// Peek reads one datum without consuming it and returns its payload (see
+// Get).
 func (c *Client) Peek(_ context.Context, key wmm.Key) (dataflow.Value, bool, error) {
 	return c.get(key, false, "peek")
+}
+
+// Consume implements Transport: one Consume frame answered by a
+// ConsumeAck carrying the hit count.
+func (c *Client) Consume(_ context.Context, reqs []ConsumeReq) (int, error) {
+	var hits int
+	err := c.rpc("consume", MsgConsume, func(dst []byte) []byte {
+		return appendConsume(dst, reqs)
+	}, MsgConsumeAck, func(body []byte) error {
+		m, derr := decodeConsumeAck(body)
+		if derr != nil {
+			return wireErr("consume", c.addr, ErrBadFrame, derr)
+		}
+		hits = int(m.Hits)
+		return nil
+	})
+	return hits, err
 }
 
 // Release implements Transport.

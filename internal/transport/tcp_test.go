@@ -54,6 +54,19 @@ func TestTCPSinkOps(t *testing.T) {
 		t.Fatalf("Get after consume: found=%v err=%v", ok, err)
 	}
 
+	// One Consume frame: a consuming miss (already consumed), a peek of a
+	// fresh key and a consuming hit on it; only the hit is counted.
+	fresh := wmm.Key{ReqID: "req-1", Fn: "merge", Data: "counts"}
+	if err := c.Land(ctx, Pacing{}, wmm.PutReq{Key: fresh, Val: dataflow.Value{Payload: []byte("x"), Size: 1}, Consumers: 1}); err != nil {
+		t.Fatalf("Land: %v", err)
+	}
+	if hits, err := c.Consume(ctx, []ConsumeReq{{Key: key}, {Key: fresh, Peek: true}, {Key: fresh}}); err != nil || hits != 1 {
+		t.Fatalf("Consume: hits=%d err=%v, want 1 hit", hits, err)
+	}
+	if got := sink.MemBytes(); got != 0 {
+		t.Fatalf("Consume left %d bytes", got)
+	}
+
 	batch := []wmm.PutReq{
 		{Key: wmm.Key{ReqID: "req-2", Fn: "f", Data: "a"}, Val: dataflow.Value{Payload: []byte("1"), Size: 1}, Consumers: 1},
 		{Key: wmm.Key{ReqID: "req-2", Fn: "f", Data: "b"}, Val: dataflow.Value{Payload: []byte("22"), Size: 2}, Consumers: 1},
@@ -79,8 +92,8 @@ func TestTCPSinkOps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
-	if st.Puts != 3 || st.MemHits != 1 || st.Misses != 1 {
-		t.Fatalf("Stats = %+v, want Puts 3 MemHits 1 Misses 1", st)
+	if st.Puts != 4 || st.MemHits != 2 || st.Misses != 2 {
+		t.Fatalf("Stats = %+v, want Puts 4 MemHits 2 Misses 2", st)
 	}
 	if err := c.Ping(ctx); err != nil {
 		t.Fatalf("Ping: %v", err)

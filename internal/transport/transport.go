@@ -3,8 +3,8 @@
 // the teardown messages cross to reach a node's Wait-Match Memory.
 //
 // Everything above this interface keeps one programming model — the engine
-// ships batches, lands items, gets inputs and releases requests the same
-// way — while the data path below it is either a direct in-process call
+// ships batches, lands items, consumes inputs and releases requests the
+// same way — while the data path below it is either a direct in-process call
 // (Inproc: the pipe.Limiter-paced path, byte-identical to the pre-interface
 // engine and still the benchmark default) or a real socket (Client/Server:
 // length-prefixed frames carrying the host-container collaborative
@@ -18,14 +18,22 @@ import (
 	"context"
 	"time"
 
-	"repro/internal/dataflow"
 	"repro/internal/pipe"
 	"repro/internal/wmm"
 )
 
 // DefaultBatchTasks caps how many queued DLU tasks one batched shipment
-// drains (the engine's Config.DLUBatchTasks default).
+// drains.
 const DefaultBatchTasks = 64
+
+// ConsumeReq names one datum of a batched Consume. Peek reads the entry
+// without consuming it (broadcast data, shared by every instance);
+// otherwise the read is a consuming Get and proactive-release accounting
+// applies.
+type ConsumeReq struct {
+	Key  wmm.Key
+	Peek bool
+}
 
 // Pacing is the source-side shaping of one shipment: the producing
 // container's TC-class limiter and the batch totals it is charged for.
@@ -52,10 +60,12 @@ type Transport interface {
 	ShipBatch(ctx context.Context, pace Pacing, reqs []wmm.PutReq) error
 	// Land lands a single datum (the per-item ship and replay paths).
 	Land(ctx context.Context, pace Pacing, req wmm.PutReq) error
-	// Get consumes one datum (proactive-release accounting applies).
-	Get(ctx context.Context, key wmm.Key) (dataflow.Value, bool, error)
-	// Peek reads one datum without consuming it (broadcast data).
-	Peek(ctx context.Context, key wmm.Key) (dataflow.Value, bool, error)
+	// Consume reads every datum of one instance's inputs in one exchange:
+	// consuming Gets and Peeks, in order. It returns how many of the
+	// consuming (non-Peek) keys were found and carries no payload back —
+	// the engine reads input values from its tracker, so the sink read is
+	// accounting (proactive release) and a freshness touch only.
+	Consume(ctx context.Context, reqs []ConsumeReq) (hits int, err error)
 	// Release drops every entry of the request (teardown).
 	Release(ctx context.Context, reqID string) error
 	// Clear wipes the sink (node failure handling).

@@ -11,7 +11,7 @@ import (
 // Bump it whenever any //wire:struct changes shape — the wiregate repolint
 // analyzer enforces that the structs' fingerprint below matches the
 // version, so a silent wire change cannot ship.
-const FrameVersion = 2
+const FrameVersion = 3
 
 // wireVersions pins the fingerprint of the //wire:struct set at each frame
 // version. The wiregate analyzer recomputes the fingerprint from the struct
@@ -21,6 +21,7 @@ const FrameVersion = 2
 var wireVersions = map[int]string{
 	1: "wire:v1:d157a25e4bf1fe36",
 	2: "wire:v2:fa3cbad6787e3042",
+	3: "wire:v3:a5d0ea332c47a582",
 }
 
 // fingerprintAt exposes the pinned fingerprint for tests.
@@ -88,7 +89,9 @@ type PutBatch struct {
 }
 
 // Get fetches (Consume true — proactive-release accounting applies) or
-// peeks (Consume false — broadcast data) one datum.
+// peeks (Consume false — broadcast data) one datum and answers with its
+// payload (Found). The engine's consume path uses the batched, payload-free
+// Consume instead; Get serves single-datum reads.
 //
 //wire:struct
 type Get struct {
@@ -104,6 +107,35 @@ type Get struct {
 type Found struct {
 	Found   bool
 	Payload []byte
+}
+
+// Consume (since frame v3) is one instance's batched input read: every key
+// of the instance's inputs this node holds, in one frame. A key with Peek
+// set is read without being consumed (broadcast data); the rest are
+// consuming Gets. The answer is a ConsumeAck — no payload travels back,
+// because the engine takes input values from its tracker and the read is
+// proactive-release accounting only.
+//
+//wire:struct
+type Consume struct {
+	Keys []ConsumeKey
+}
+
+// ConsumeKey is one key of a Consume.
+//
+//wire:struct
+type ConsumeKey struct {
+	ReqID string
+	Fn    string
+	Data  string
+	Peek  bool
+}
+
+// ConsumeAck answers a Consume with the count of consuming keys found.
+//
+//wire:struct
+type ConsumeAck struct {
+	Hits uint32
 }
 
 // Release is the teardown message: drop every entry of the request.
@@ -213,6 +245,21 @@ func appendFound(b []byte, m Found) []byte {
 	return appendBytes(b, m.Payload)
 }
 
+// appendConsume encodes a Consume straight from the engine's requests (the
+// consume path never builds intermediate ConsumeKey structs).
+func appendConsume(b []byte, reqs []ConsumeReq) []byte {
+	b = appendUvarint(b, uint64(len(reqs)))
+	for i := range reqs {
+		b = appendString(b, reqs[i].Key.ReqID)
+		b = appendString(b, reqs[i].Key.Fn)
+		b = appendString(b, reqs[i].Key.Data)
+		b = appendBool(b, reqs[i].Peek)
+	}
+	return b
+}
+
+func appendConsumeAck(b []byte, m ConsumeAck) []byte { return appendUvarint(b, uint64(m.Hits)) }
+
 func appendRelease(b []byte, m Release) []byte { return appendString(b, m.ReqID) }
 
 func appendStatsAck(b []byte, m StatsAck) []byte {
@@ -302,6 +349,29 @@ func decodeGet(body []byte) (Get, error) {
 func decodeFound(body []byte) (Found, error) {
 	r := wireReader{b: body}
 	m := Found{Found: r.boolean(), Payload: r.bytes()}
+	return m, r.done()
+}
+
+// decodeConsume decodes a Consume straight into consume requests,
+// appending to dst.
+func decodeConsume(body []byte, dst []ConsumeReq) ([]ConsumeReq, error) {
+	r := wireReader{b: body}
+	n := r.uvarint()
+	// A frame cannot hold more keys than bytes; reject a hostile count
+	// before looping.
+	if n > uint64(len(body)) {
+		return dst, fmt.Errorf("%w: consume key count %d exceeds body", ErrBadFrame, n)
+	}
+	for i := uint64(0); i < n && !r.bad; i++ {
+		k := ConsumeKey{ReqID: r.str(), Fn: r.str(), Data: r.str(), Peek: r.boolean()}
+		dst = append(dst, ConsumeReq{Key: wmm.Key{ReqID: k.ReqID, Fn: k.Fn, Data: k.Data}, Peek: k.Peek})
+	}
+	return dst, r.done()
+}
+
+func decodeConsumeAck(body []byte) (ConsumeAck, error) {
+	r := wireReader{b: body}
+	m := ConsumeAck{Hits: uint32(r.uvarint())}
 	return m, r.done()
 }
 
