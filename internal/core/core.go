@@ -590,38 +590,28 @@ type routePin struct {
 	ordinal int // replica ordinal at pin time (stamps Item.Replica)
 }
 
-// selectReplica picks fn's replica for a new pin: prefer, when it hosts a
-// replica (locality-first — the producer's output skips the network ship),
-// else the replica whose node has the lowest load reading (in-flight
-// instances; under QoS, plus the pinning tenant's own in-flight there, so
-// a hot tenant spreads instead of stacking — see replicaLoad). Under the
-// fault-tolerance plane only Up nodes are pinnable (a draining node takes
-// no new pins, a dead one nothing), with a fallback to any Up cluster node
-// when the whole replica set is unhealthy — the synchronous counterpart of
-// the scaler's backfill.
+// selectReplica picks fn's replica for a new pin through cluster.PickReplica
+// (prefer when it hosts a pinnable replica, else the least-loaded pinnable
+// one). The load reading is the node's in-flight instances; under QoS, plus
+// the pinning tenant's own in-flight there, so a hot tenant spreads instead
+// of stacking — see replicaLoad. Under the fault-tolerance plane only
+// Routable nodes are pinnable (a draining node takes no new pins, a dead one
+// nothing), with a backfill onto any Routable cluster node when the whole
+// replica set is unhealthy (ordinals beyond the replica set keep sink keys
+// unique per node) — the synchronous counterpart of the scaler's backfill.
+// With nothing Routable at all the primary is kept, leaving the request to
+// limp until something recovers.
 func (s *System) selectReplica(st *fnState, prefer *cluster.Node, tenant string) (*cluster.Node, int) {
 	reps := st.replicaList()
-	if s.ft {
-		return s.selectHealthyReplica(st, reps, prefer, tenant)
+	pinnable := func(n *cluster.Node) bool { return !s.ft || n.Routable() }
+	load := func(n *cluster.Node) int64 { return s.replicaLoad(n, tenant) }
+	if i := cluster.PickReplica(reps, prefer, pinnable, load); i >= 0 {
+		return reps[i], i
 	}
-	if len(reps) == 1 {
-		return reps[0], 0
+	if i := cluster.PickReplica(s.allNodes, nil, pinnable, load); i >= 0 {
+		return s.allNodes[i], len(reps) + i
 	}
-	if prefer != nil {
-		for i, n := range reps {
-			if n == prefer {
-				return n, i
-			}
-		}
-	}
-	best, bi := reps[0], 0
-	bl := s.replicaLoad(reps[0], tenant)
-	for i := 1; i < len(reps); i++ {
-		if l := s.replicaLoad(reps[i], tenant); l < bl {
-			best, bi, bl = reps[i], i, l
-		}
-	}
-	return best, bi
+	return reps[0], 0
 }
 
 // routeFor resolves the node serving fn for this request, pinning the

@@ -211,15 +211,11 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 				bw = obs
 			}
 		}
-		if bw > 0 {
-			tflu := c.fst.avg()
-			pressure := time.Duration(s.cfg.Alpha*float64(totalSize)/bw*float64(time.Second)) - tflu
-			if pressure > 0 {
-				s.prewarm(c.Instance.Fn, c.ctr.Node)
-				// Callstack blocking: throttle this FLU so its producing
-				// rate matches the DLU's consuming rate.
-				c.ctr.Node.Clock().Sleep(pressure)
-			}
+		if pressure := cluster.TransferPressure(s.cfg.Alpha, float64(totalSize), bw, c.fst.avg()); pressure > 0 {
+			s.prewarm(c.Instance.Fn, c.ctr.Node)
+			// Callstack blocking: throttle this FLU so its producing rate
+			// matches the DLU's consuming rate.
+			c.ctr.Node.Clock().Sleep(pressure)
 		}
 	}
 	if s.trackPut {

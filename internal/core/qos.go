@@ -163,12 +163,8 @@ func (s *System) transferPressure(st *fnState) time.Duration {
 	if n == 0 {
 		return 0
 	}
-	bw := st.spec.BandwidthBps()
-	if bw <= 0 {
-		return 0
-	}
 	avgBytes := float64(st.putBytes.Load()) / float64(n)
-	return time.Duration(s.cfg.Alpha*avgBytes/bw*float64(time.Second)) - st.avg()
+	return cluster.TransferPressure(s.cfg.Alpha, avgBytes, st.spec.BandwidthBps(), st.avg())
 }
 
 // ShedSet returns the tenants the governor is currently shedding (nil when

@@ -473,6 +473,26 @@ func TestTenantStormInvokeVsGovernorVsShutdown(t *testing.T) {
 			}()
 		}
 		time.Sleep(25 * time.Millisecond)
+		// Each tenant's fair queue is FIFO, so the outstanding first stages
+		// queue ahead of every second stage and the first completion can
+		// land after the 25 ms. Shut down only once something has
+		// completed, so the completed == 0 check below tests the engine,
+		// not the storm's timing.
+		anyDone := func() bool {
+			invMu.Lock()
+			defer invMu.Unlock()
+			for _, inv := range invs {
+				select {
+				case <-inv.Done():
+					return true
+				default:
+				}
+			}
+			return false
+		}
+		for deadline := time.Now().Add(5 * time.Second); !anyDone() && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
 		sys.Shutdown() // races in-flight Invokes and the governor
 		close(stop)
 		wg.Wait()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/cluster"
 )
 
@@ -111,28 +113,13 @@ func (s *System) wantScaleUp(st *fnState, pending int64, k int) bool {
 // Under the fault-tolerance plane, non-Up nodes have zero capacity and are
 // never picked.
 func (s *System) pickNewReplica(reps []*cluster.Node) *cluster.Node {
-	var best *cluster.Node
-	var bestLoad int64
-	for _, n := range s.allNodes {
-		if s.ft && !n.Routable() {
-			continue
-		}
-		member := false
-		for _, r := range reps {
-			if r == n {
-				member = true
-				break
-			}
-		}
-		if member {
-			continue
-		}
-		l := s.nodeLoad[n].Load()
-		if best == nil || l < bestLoad {
-			best, bestLoad = n, l
-		}
+	i := cluster.PickReplica(s.allNodes, nil, func(n *cluster.Node) bool {
+		return (!s.ft || n.Routable()) && !slices.Contains(reps, n)
+	}, func(n *cluster.Node) int64 { return s.nodeLoad[n].Load() })
+	if i < 0 {
+		return nil
 	}
-	return best
+	return s.allNodes[i]
 }
 
 // pruneDeadReplicas removes Down nodes from the function's replica set and

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dataflow"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -250,24 +251,20 @@ func (s *Sim) fallbackPrimary(fn string) *node {
 }
 
 // leastBusyRoutable picks the routable node with the least outstanding
-// work, or nil when every node is down/draining.
+// work across the functions it hosts, or nil when every node is
+// down/draining.
 func (s *Sim) leastBusyRoutable() *node {
-	var best *node
-	bestLoad := 0
-	for _, n := range s.nodes {
-		if !n.routable() {
-			continue
-		}
+	i := cluster.PickReplica(s.nodes, nil, (*node).routable, func(n *node) int64 {
 		load := 0
-		for fn, fs := range n.fns {
-			load += fs.workQ.Len() + fs.started - fs.idleQ.Len()
-			_ = fn
+		for fn := range n.fns {
+			load += s.replicaLoad(n, fn)
 		}
-		if best == nil || load < bestLoad {
-			best, bestLoad = n, load
-		}
+		return int64(load)
+	})
+	if i < 0 {
+		return nil
 	}
-	return best
+	return s.nodes[i]
 }
 
 // ensureReplica makes sure n hosts a replica of fn (fnState + dispatcher),
@@ -398,49 +395,4 @@ func (s *Sim) markConsumed(req *request, key dataflow.InstanceKey) {
 			rec.consumed = true
 		}
 	}
-}
-
-// replicaForFaulty is replicaFor under the fault plane: pins are honoured
-// as long as they exist (a kill deletes pins to the dead node), new pins
-// select among routable replicas only, and a function whose entire replica
-// set is unhealthy is backfilled onto the least busy routable node.
-func (s *Sim) replicaForFaulty(req *request, fn string, prefer *node) *node {
-	if n, ok := req.pin[fn]; ok {
-		return n
-	}
-	reps := s.replicas[fn]
-	var chosen *node
-	if prefer != nil && prefer.routable() {
-		for _, n := range reps {
-			if n == prefer {
-				chosen = n
-				break
-			}
-		}
-	}
-	if chosen == nil {
-		best := 0
-		for _, n := range reps {
-			if !n.routable() {
-				continue
-			}
-			if l := s.replicaLoad(n, fn); chosen == nil || l < best {
-				chosen, best = n, l
-			}
-		}
-	}
-	if chosen == nil {
-		if n := s.leastBusyRoutable(); n != nil {
-			s.ensureReplica(fn, n)
-			chosen = n
-		}
-	}
-	if chosen == nil {
-		chosen = reps[0] // whole cluster unroutable: limp along
-	}
-	if req.pin == nil {
-		req.pin = make(map[string]*node)
-	}
-	req.pin[fn] = chosen
-	return chosen
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/qos"
 	"repro/internal/sim"
@@ -153,9 +154,6 @@ func (s *Sim) qosGovern() {
 // samples from its put-size averages.
 func (s *Sim) maxTransferPressure() time.Duration {
 	bw := s.cfg.containerBps()
-	if bw <= 0 {
-		return 0
-	}
 	var max time.Duration
 	for fn, prof := range s.profOf {
 		f, ok := prof.Workflow.Function(fn)
@@ -174,8 +172,7 @@ func (s *Sim) maxTransferPressure() time.Duration {
 		if n == 0 {
 			continue
 		}
-		avg := float64(total) / float64(n)
-		p := time.Duration(s.cfg.Alpha*avg/bw*float64(time.Second)) - s.fluAvg[fn].avg()
+		p := cluster.TransferPressure(s.cfg.Alpha, float64(total)/float64(n), bw, s.fluAvg[fn].avg())
 		if p > max {
 			max = p
 		}

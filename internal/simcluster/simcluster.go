@@ -566,39 +566,33 @@ func New(cfg Config) *Sim {
 
 // replicaFor returns the node serving fn for this request under the
 // DataFlower kinds, pinning the choice on first use so every item and
-// instance of the function stays node-local: prefer when it hosts a
-// replica (locality-first — the ship degenerates to the local pipe), else
-// the replica with the least outstanding work. Single-replica functions
-// short-circuit with no per-request state, preserving the classic
-// semantics bit-for-bit.
+// instance of the function stays node-local. A new pin goes through
+// cluster.PickReplica, as on the runtime plane: prefer when it hosts a
+// pinnable replica (locality-first — the ship degenerates to the local
+// pipe), else the pinnable replica with the least outstanding work. Under
+// the fault plane only routable replicas are pinnable, and a function whose
+// entire replica set is unhealthy is backfilled onto the least busy
+// routable node (a kill deletes pins to the dead node, so the next call
+// re-selects among the living). Fault-free single-replica functions
+// short-circuit with no per-request state, preserving the classic semantics
+// bit-for-bit.
 func (s *Sim) replicaFor(req *request, fn string, prefer *node) *node {
-	if s.faulty {
-		return s.replicaForFaulty(req, fn, prefer)
-	}
 	reps := s.replicas[fn]
-	if len(reps) == 1 {
+	if len(reps) == 1 && !s.faulty {
 		return reps[0]
 	}
 	if n, ok := req.pin[fn]; ok {
 		return n
 	}
-	var chosen *node
-	if prefer != nil {
-		for _, n := range reps {
-			if n == prefer {
-				chosen = n
-				break
-			}
-		}
-	}
-	if chosen == nil {
-		chosen = reps[0]
-		best := s.replicaLoad(reps[0], fn)
-		for _, n := range reps[1:] {
-			if l := s.replicaLoad(n, fn); l < best {
-				chosen, best = n, l
-			}
-		}
+	chosen := reps[0] // whole cluster unroutable: limp along
+	pinnable := func(n *node) bool { return !s.faulty || n.routable() }
+	if i := cluster.PickReplica(reps, prefer, pinnable, func(n *node) int64 {
+		return int64(s.replicaLoad(n, fn))
+	}); i >= 0 {
+		chosen = reps[i]
+	} else if n := s.leastBusyRoutable(); n != nil {
+		s.ensureReplica(fn, n)
+		chosen = n
 	}
 	if req.pin == nil {
 		req.pin = make(map[string]*node)
